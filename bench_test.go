@@ -52,12 +52,12 @@ func BenchmarkE10Demand(b *testing.B)           { runExperiment(b, experiments.E
 
 // Design-choice ablations (DESIGN.md §4, "Ablations").
 
-func BenchmarkA1Ordering(b *testing.B)     { runExperiment(b, experiments.A1Ordering) }
-func BenchmarkA2TreeIndex(b *testing.B)    { runExperiment(b, experiments.A2TreeIndex) }
-func BenchmarkA3LocalSearch(b *testing.B)  { runExperiment(b, experiments.A3LocalSearch) }
-func BenchmarkA4Online(b *testing.B)       { runExperiment(b, experiments.A4Online) }
-func BenchmarkA5Laminar(b *testing.B)      { runExperiment(b, experiments.A5Laminar) }
-func BenchmarkA6MachineIndex(b *testing.B) { runExperiment(b, experiments.A6MachineIndex) }
+func BenchmarkA1Ordering(b *testing.B)       { runExperiment(b, experiments.A1Ordering) }
+func BenchmarkA2CapacityOracle(b *testing.B) { runExperiment(b, experiments.A2CapacityOracle) }
+func BenchmarkA3LocalSearch(b *testing.B)    { runExperiment(b, experiments.A3LocalSearch) }
+func BenchmarkA4Online(b *testing.B)         { runExperiment(b, experiments.A4Online) }
+func BenchmarkA5Laminar(b *testing.B)        { runExperiment(b, experiments.A5Laminar) }
+func BenchmarkA6MachineIndex(b *testing.B)   { runExperiment(b, experiments.A6MachineIndex) }
 
 // Scaling micro-benchmarks of the core algorithm at increasing sizes, with
 // the machine-selection index (default) and without (the PR 1 scan path).

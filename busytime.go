@@ -38,8 +38,7 @@
 //     policies for the online variant (plus baselines; see Algorithms)
 //
 // Sub-packages under internal/ provide the substrates (interval sweeps,
-// interval graphs, interval trees, b-matching, the optical-network reduction
-// of §4, a discrete-event validator, workload generators and the experiment
+// interval graphs, b-matching, the optical-network reduction of §4, a discrete-event validator, workload generators and the experiment
 // harness reproducing every quantitative artifact of the paper).
 package busytime
 

@@ -110,16 +110,18 @@ func ScheduleOrderScratch(in *core.Instance, order []int, sc *core.Scratch) *cor
 
 // ScheduleScan is FirstFit without the machine-selection index: every job
 // probes machines 0..M−1 in order through the residual-capacity hints and
-// interval trees (the PR 1 fast path). It exists as the ablation baseline
-// for the index and produces schedules byte-identical to Schedule.
+// the machines' exact time-sharded capacity oracle. It exists as the
+// ablation baseline for the index and produces schedules byte-identical to
+// Schedule.
 func ScheduleScan(in *core.Instance) *core.Schedule {
 	s := core.NewSchedule(in)
 	assignAllByLength(in, s.Placer())
 	return s
 }
 
-// ScheduleScanScratch is ScheduleScan drawing schedule state from sc (the
-// kernel recycles the per-machine interval trees instead of the index).
+// ScheduleScanScratch is ScheduleScan drawing schedule state from sc: the
+// machine records and the shard pool behind their capacity oracle are
+// recycled, while no machine-selection index is attached.
 func ScheduleScanScratch(in *core.Instance, sc *core.Scratch) *core.Schedule {
 	s := sc.NewSchedule(in)
 	assignAllByLength(in, s.Placer())

@@ -7,11 +7,12 @@ import (
 )
 
 // ScheduleLinear is FirstFit with linear-scan capacity checks instead of the
-// interval-tree index used by core.Schedule: each machine keeps a plain job
-// list and a feasibility test sweeps every job on the machine. The produced
-// assignment is identical to Schedule (same order, same first-fit rule); the
-// function exists for ablation A2, which measures what the tree index buys
-// at scale.
+// time-sharded capacity oracle used by core.Schedule: each machine keeps a
+// plain job list and a feasibility test sweeps every job on the machine. The
+// produced assignment is identical to Schedule (same order, same first-fit
+// rule); it is the independent reference of the firstfit differential tests
+// and the baseline of ablation A2, which measures what the sharded oracle
+// buys at scale.
 func ScheduleLinear(in *core.Instance) *core.Schedule {
 	order := in.LengthOrder()
 	type machine struct {

@@ -11,8 +11,8 @@ import (
 // decided every job's machine and only the global bookkeeping remains. It
 // replays placements through the same incremental accounting as the live
 // kernel (per-machine job list, busy hull, span union feeding totalBusy) but
-// skips every capacity structure: no interval trees, shards, profiles or
-// index, because feasibility was established by the runs being merged. The
+// skips every capacity structure: no shard copies, profiles or index,
+// because feasibility was established by the runs being merged. The
 // result is sealed — mutating kernel entry points panic on it, since its
 // machines carry no oracle to answer them — while every read path (Cost,
 // Verify, Summary, Assignment, Detach-style re-derivation) stays valid.

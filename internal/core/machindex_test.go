@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"busytime/internal/interval"
-	"busytime/internal/itree"
 )
 
 // TestFirstTrivialFindsLowestGuaranteedMachine drives the segment tree
@@ -248,12 +247,13 @@ func TestLoadShardsMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestLoadShardsMatchesTreeOracle pins the two exact capacity oracles — the
-// sharded sweep used under the index and the interval tree used without it —
-// to each other on identical unit-demand content: depths must agree
-// everywhere and reported runs must satisfy the same saturation contract.
-// This is the tripwire for the duplicated run-extraction logic.
-func TestLoadShardsMatchesTreeOracle(t *testing.T) {
+// TestLoadShardsMatchesBruteForce pins the exact capacity oracle to a
+// brute-force closed-depth count over the placed intervals, probing every
+// window at two thresholds. Beyond the depth it checks the whole query
+// contract the kernel's hints rely on: ok is exactly depth ≥ thresh, the
+// witness lies in the window and attains the reported depth, and a reported
+// run lies in the window and is saturated at both ends.
+func TestLoadShardsMatchesBruteForce(t *testing.T) {
 	state := uint64(21)
 	next := func() float64 {
 		state += 0x9e3779b97f4a7c15
@@ -271,32 +271,56 @@ func TestLoadShardsMatchesTreeOracle(t *testing.T) {
 	if h.ia.nshards < 2 {
 		t.Fatalf("only %d shard(s); multi-shard sweeps untested", h.ia.nshards)
 	}
-	tree := itree.New(5)
+	var placed []interval.Interval
+	depthAt := func(p float64) int {
+		d := 0
+		for _, iv := range placed {
+			if iv.Contains(p) {
+				d++
+			}
+		}
+		return d
+	}
+	// The maximum closed depth within w is attained at w.Start or at a
+	// start point inside w.
+	brute := func(w interval.Interval) int {
+		best := depthAt(w.Start)
+		for _, iv := range placed {
+			if w.Contains(iv.Start) {
+				best = max(best, depthAt(iv.Start))
+			}
+		}
+		return best
+	}
 	for step, iv := range ivs {
 		h.add(iv, 1)
-		tree.Insert(itree.Item{Iv: iv, ID: step})
+		placed = append(placed, iv)
 		qs := next() * 60
 		w := interval.Interval{Start: qs, End: qs + next()*9}
+		want := brute(w)
 		for _, thresh := range []int{2, 4} {
-			sd, sa, srun, sok := h.maxDepthRun(w, thresh)
-			td, ta, trun, tok := tree.MaxDepthRunWithinAt(w, thresh)
-			if sd != td {
-				t.Fatalf("step %d: shard depth %d != tree depth %d (w=%v)", step, sd, td, w)
+			depth, at, run, ok := h.maxDepthRun(w, thresh)
+			if depth != want {
+				t.Fatalf("step %d: depth %d, brute force %d (w=%v)", step, depth, want, w)
 			}
-			if sok != tok {
-				t.Fatalf("step %d: shard ok=%v != tree ok=%v at depth %d thresh %d", step, sok, tok, sd, thresh)
+			if ok != (depth >= thresh) {
+				t.Fatalf("step %d: ok=%v at depth %d thresh %d", step, ok, depth, thresh)
 			}
-			// Witnesses and runs may legitimately differ (the shard sweep
-			// clips at tile boundaries), but both must be valid: witness in
-			// window, run saturated at both ends.
-			if sd > 0 && (!w.Contains(sa) || !w.Contains(ta)) {
-				t.Fatalf("step %d: witness outside window: shard %v tree %v (w=%v)", step, sa, ta, w)
+			if depth > 0 {
+				if !w.Contains(at) {
+					t.Fatalf("step %d: witness %v outside %v", step, at, w)
+				}
+				if d := depthAt(at); d != depth {
+					t.Fatalf("step %d: witness %v has depth %d, reported %d", step, at, d, depth)
+				}
 			}
-			if sok && !w.ContainsInterval(srun) {
-				t.Fatalf("step %d: shard run %v outside %v", step, srun, w)
-			}
-			if tok && !w.ContainsInterval(trun) {
-				t.Fatalf("step %d: tree run %v outside %v", step, trun, w)
+			if ok {
+				if !w.ContainsInterval(run) {
+					t.Fatalf("step %d: run %v outside %v", step, run, w)
+				}
+				if a, b := depthAt(run.Start), depthAt(run.End); a < thresh || b < thresh {
+					t.Fatalf("step %d: run %v has end depths %d, %d < %d", step, run, a, b, thresh)
+				}
 			}
 		}
 	}

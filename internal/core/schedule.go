@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"busytime/internal/interval"
-	"busytime/internal/itree"
 )
 
 // Unassigned marks a job that has not been placed on any machine.
@@ -18,14 +17,14 @@ const Unassigned = -1
 //
 // Machine state is stored as a flat value slice — one contiguous record per
 // machine instead of a pointer per machine — and every capacity structure a
-// machine needs (interval tree or time shards, load profile, span union) is
-// drawn from recyclable backing arrays, so schedules built from a Scratch
-// reach a zero-allocation steady state (see Scratch).
+// machine needs (time shards, load profile, span union) is drawn from
+// recyclable backing arrays, so schedules built from a Scratch reach a
+// zero-allocation steady state (see Scratch).
 //
 // Each machine answers feasibility checks through cheap residual-capacity
 // hints — its busy hull, its peak load, and a few saturation witness points
-// — backed by an exact capacity oracle: time-sharded job lists under the
-// machine-selection index, an interval tree otherwise (see CanAssign).
+// — backed by one exact capacity oracle: the machine's job lists sharded by
+// time over the instance's compressed axis (see loadShards and CanAssign).
 type Schedule struct {
 	inst     *Instance
 	assign   []int
@@ -35,8 +34,9 @@ type Schedule struct {
 	// Cost is an O(1) read.
 	totalBusy float64
 	// index is the optional machine-selection index behind FirstFitAssign
-	// (see machindex and EnableMachineIndex); ia is the instance's compressed
-	// time axis and pool the shard arena, both set alongside index.
+	// (see machindex and EnableMachineIndex). ia is the instance's compressed
+	// time axis and pool the shard arena of every machine's loadShards, both
+	// set when the schedule is built.
 	index *machindex
 	ia    *instanceAxis
 	pool  *shardPool
@@ -73,10 +73,6 @@ type hotspot struct {
 const maxHotspots = 8
 
 type machineState struct {
-	// tree is the exact capacity oracle of non-indexed machines, created
-	// lazily on the machine's first insertion (indexed machines never need
-	// one) and recycled with the machine state.
-	tree *itree.Tree
 	jobs []int
 	// hull is the smallest interval containing every job on the machine
 	// (meaningless while jobs is empty). A candidate job outside the hull
@@ -95,9 +91,8 @@ type machineState struct {
 	// spans is the running union of the machine's job intervals, so the
 	// machine's busy time is an O(1) read and never re-derived.
 	spans interval.Spans
-	// shards holds the machine's jobs bucketed by time under the
-	// machine-selection index, replacing the interval tree as the exact
-	// capacity oracle (see loadShards).
+	// shards holds the machine's jobs bucketed by time: the exact capacity
+	// oracle behind every hint (see loadShards).
 	shards loadShards
 	// prof backs the bucketed load profile, allocated only under the
 	// machine-selection index; floor and ceil are its two halves.
@@ -117,35 +112,26 @@ type machineState struct {
 // never justify an acceptance.
 const ceilUnknown = 255
 
-// recycle clears the state for a fresh machine with index seed−1, retaining
-// every backing allocation. The load profile is dropped, not cleared:
-// OpenMachine re-sizes it only when the schedule's index needs one.
-func (st *machineState) recycle(seed uint64) {
-	if st.tree != nil {
-		st.tree.ResetSeed(seed)
-	}
+// recycle clears the state for a fresh machine, retaining every backing
+// allocation. The load profile is dropped, not cleared: OpenMachine re-sizes
+// it only when the schedule's index needs one, and always re-sizes the
+// shard directory.
+func (st *machineState) recycle() {
 	st.jobs = st.jobs[:0]
 	st.hull = interval.Interval{}
 	st.peak = 0
 	st.nhot = 0
 	st.spans.Reset()
 	st.floor, st.ceil = nil, nil
-	st.shards.reset()
 }
 
-// maxDepthRun answers the exact capacity query — maximum demand-weighted
-// closed depth within w, with witness and saturated run — from whichever
-// structure is authoritative: the time-sharded job lists under the
-// machine-selection index (slo/shi is w's shard range), the interval tree
-// otherwise.
-func (s *Schedule) maxDepthRun(st *machineState, w interval.Interval, thresh, slo, shi int) (depth int, at float64, run interval.Interval, ok bool) {
-	if st.shards.enabled() {
-		return st.shards.maxDepthRun(s.pool, s.ia, w, thresh, slo, shi)
-	}
-	if st.tree == nil {
-		return 0, 0, interval.Interval{}, false
-	}
-	return st.tree.MaxDepthRunWithinAt(w, thresh)
+// maxDepthRun answers the exact capacity query for machine state st — the
+// maximum demand-weighted closed depth within w, with a witness point and
+// the saturated run (load ≥ g) around it — from the machine's time shards.
+// lo/hi is w's axis bucket range.
+func (s *Schedule) maxDepthRun(st *machineState, w interval.Interval, lo, hi int) (depth int, at float64, run interval.Interval, ok bool) {
+	slo, shi := s.ia.shardRange(lo, hi)
+	return st.shards.maxDepthRun(s.pool, s.ia, w, s.inst.G, slo, shi)
 }
 
 // NewSchedule returns an empty schedule (all jobs unassigned) for inst.
@@ -154,7 +140,7 @@ func NewSchedule(inst *Instance) *Schedule {
 	for i := range assign {
 		assign[i] = Unassigned
 	}
-	return &Schedule{inst: inst, assign: assign, cursor: Unassigned}
+	return &Schedule{inst: inst, assign: assign, cursor: Unassigned, ia: inst.timeAxis(), pool: new(shardPool)}
 }
 
 // Instance returns the instance this schedule belongs to.
@@ -190,13 +176,13 @@ func (s *Schedule) OpenMachine() int {
 		s.machines = append(s.machines, machineState{})
 	}
 	st := &s.machines[m]
-	st.recycle(uint64(m + 1))
+	st.recycle()
+	if st.shards.init(s.ia) {
+		s.noteAlloc()
+	}
 	if s.index != nil {
 		s.index.addMachine()
 		if st.sizeProfile(s.index.profileBuckets(m)) {
-			s.noteAlloc()
-		}
-		if st.shards.init(s.ia) {
 			s.noteAlloc()
 		}
 	}
@@ -224,51 +210,40 @@ func (st *machineState) sizeProfile(nb int) (grew bool) {
 }
 
 // EnableMachineIndex attaches the machine-selection index that powers
-// FirstFitAssign. Call it once, right after creating the schedule; machines
+// FirstFitAssign: the segment tree, the saturation bitmap and the bucketed
+// load profiles. Call it once, right after creating the schedule; machines
 // opened before the call are indexed retroactively. Schedules drawn from a
-// Scratch recycle the index arena across instances; the instance's
-// compressed time axis is computed once and cached on the instance.
+// Scratch recycle the index arena across instances.
 func (s *Schedule) EnableMachineIndex() {
 	if s.index != nil {
 		return
 	}
-	s.ia = s.inst.timeAxis()
 	if s.scratch != nil {
-		s.pool = &s.scratch.pool
 		s.index = &s.scratch.index
 	} else {
-		s.pool = new(shardPool)
 		s.index = new(machindex)
 	}
-	s.pool.reset()
 	s.index.reset(s.ia)
 	for m := range s.machines {
 		st := &s.machines[m]
 		s.index.addMachine()
 		st.sizeProfile(s.index.profileBuckets(m))
-		st.shards.init(s.ia)
 		if len(st.jobs) > 0 {
 			s.index.update(m, st.hull, st.peak)
 			// The profile was not maintained while these jobs arrived:
-			// floors of 0 stay sound, ceilings must be marked unknown, and
-			// the shards must absorb the machine's existing jobs.
+			// floors of 0 stay sound, ceilings must be marked unknown.
 			for b := range st.ceil {
 				st.ceil[b] = ceilUnknown
-			}
-			for _, j := range st.jobs {
-				job := s.inst.Jobs[j]
-				slo, shi := s.ia.shardRange(s.jobBuckets(j))
-				st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
 			}
 		}
 	}
 }
 
 // jobBuckets returns the axis bucket overlap range of job j's window, or an
-// empty range when no index (or a degenerate axis) is attached. The range is
-// precomputed per job with the axis, so the hot path never searches.
+// empty range on a degenerate axis. The range is precomputed per job with
+// the axis, so the hot path never searches.
 func (s *Schedule) jobBuckets(j int) (lo, hi int) {
-	if s.ia == nil || s.ia.nb == 0 {
+	if s.ia.nb == 0 {
 		return 0, -1
 	}
 	return int(s.ia.jobLo[j]), int(s.ia.jobHi[j])
@@ -337,11 +312,7 @@ func (s *Schedule) CanAssign(j, m int) bool {
 			return verdict > 0
 		}
 	}
-	slo, shi := 0, 0
-	if s.ia != nil {
-		slo, shi = s.ia.shardRange(lo, hi)
-	}
-	used, at, run, sat := s.maxDepthRun(st, job.Iv, g, slo, shi)
+	used, at, run, sat := s.maxDepthRun(st, job.Iv, lo, hi)
 	if used+job.Demand > g {
 		st.noteHot(at, used)
 		if sat && s.index != nil {
@@ -455,11 +426,7 @@ func (s *Schedule) tryAssign(j, m, lo, hi int) bool {
 			return true
 		}
 	}
-	slo, shi := 0, 0
-	if s.ia != nil {
-		slo, shi = s.ia.shardRange(lo, hi)
-	}
-	used, at, run, sat := s.maxDepthRun(st, job.Iv, g, slo, shi)
+	used, at, run, sat := s.maxDepthRun(st, job.Iv, lo, hi)
 	if used+job.Demand > g {
 		st.noteHot(at, used)
 		if sat && s.index != nil {
@@ -596,10 +563,10 @@ func (s *Schedule) AppendMachineSpans(m int, dst interval.Set) interval.Set {
 }
 
 // insert performs the bookkeeping of placing job index j on machine state st
-// (machine index m): capacity-oracle copies, assignment map, and the hint
+// (machine index m): the job's shard copies, assignment map, and the hint
 // update. used must be at least the machine's maximum load within the job's
 // window before insertion (exact keeps peak exact; an upper bound keeps it
-// sound). lo/hi is the job's axis bucket range (empty without an index).
+// sound). lo/hi is the job's axis bucket range (empty on a degenerate axis).
 func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 	if s.sealed {
 		panic("core: placement on a sealed schedule")
@@ -608,17 +575,8 @@ func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 		panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, s.assign[j]))
 	}
 	job := s.inst.Jobs[j]
-	if st.shards.enabled() {
-		slo, shi := s.ia.shardRange(lo, hi)
-		st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
-	} else {
-		if st.tree == nil {
-			st.tree = itree.New(uint64(m + 1))
-		}
-		for d := 0; d < job.Demand; d++ {
-			st.tree.Insert(itree.Item{Iv: job.Iv, ID: j})
-		}
-	}
+	slo, shi := s.ia.shardRange(lo, hi)
+	st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
 	if len(st.jobs) == 0 {
 		st.hull = job.Iv
 	} else {

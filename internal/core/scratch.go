@@ -2,9 +2,9 @@ package core
 
 // Scratch is the schedule-state arena: it owns and recycles everything a
 // schedule allocates — the schedule record itself, the assignment slice, the
-// flat machine-state array (with each machine's interval tree, span union,
-// load profile and shard directory), the machine-selection index (segment
-// tree and saturation bitmap), and the chunked shard pool every machine's
+// flat machine-state array (with each machine's span union, load profile and
+// shard directory), the machine-selection index (segment tree and
+// saturation bitmap), and the chunked shard pool every machine's
 // time-sharded job lists draw from. A worker that schedules a stream of
 // instances through one Scratch stops allocating once warm: every reset is a
 // truncation or a clear of retained backing arrays, sized on first use from
@@ -19,8 +19,9 @@ package core
 type Scratch struct {
 	sched  Schedule // the single live schedule, recycled in place
 	assign []int
-	// index and pool are the recycled machine-selection arena handed to
-	// schedules that call EnableMachineIndex; reconfigured per instance.
+	// pool is the recycled shard arena of every schedule drawn from the
+	// scratch; index is the machine-selection arena handed to schedules that
+	// call EnableMachineIndex. Both are reconfigured per instance.
 	index machindex
 	pool  shardPool
 	// allocs counts backing-array growth performed on behalf of schedules
@@ -82,7 +83,8 @@ func (sc *Scratch) NewSchedule(inst *Instance) *Schedule {
 	for i := range assign {
 		assign[i] = Unassigned
 	}
-	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned}
+	sc.pool.reset()
+	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned, ia: inst.timeAxis(), pool: &sc.pool}
 	if sc.armed {
 		s.spanLog, s.logSpans = sc.pendingLog, true
 		sc.pendingLog, sc.armed = nil, false

@@ -39,7 +39,7 @@ func naiveCanAssign(s *Schedule, j, m int) bool {
 }
 
 // TestCanAssignHintsMatchNaive drives first-fit placement on random
-// instances and checks every probe — hint-resolved or tree-resolved —
+// instances and checks every probe — hint-resolved or oracle-resolved —
 // against the naive recomputation.
 func TestCanAssignHintsMatchNaive(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -183,27 +183,32 @@ func TestFirstFitAssignZeroAllocSteadyState(t *testing.T) {
 // TestScratchZeroAllocAcrossShrinkingInstances checks the arena's sizing
 // discipline across instance changes: after warming on the largest instance
 // of a set, scheduling any smaller instance allocates nothing (backing
-// arrays only ever grow).
+// arrays only ever grow). The no-index leg runs the same loop without
+// EnableMachineIndex, pinning that the recycled shard oracle alone stops
+// allocating too.
 func TestScratchZeroAllocAcrossShrinkingInstances(t *testing.T) {
 	big := denseTestInstance(4000, 3, 2000, 20)
 	small := denseTestInstance(500, 5, 120, 8)
 	tiny := denseTestInstance(40, 2, 30, 6)
-	sc := new(Scratch)
-	run := func(in *Instance) {
-		s := sc.NewSchedule(in)
-		s.EnableMachineIndex()
-		for j := range in.Jobs {
-			s.FirstFitAssign(j)
+	for _, indexed := range []bool{true, false} {
+		sc := new(Scratch)
+		run := func(in *Instance) {
+			s := sc.NewSchedule(in)
+			if indexed {
+				s.EnableMachineIndex()
+			}
+			for j := range in.Jobs {
+				s.FirstFitAssign(j)
+			}
 		}
-	}
-	for _, in := range []*Instance{big, small, tiny} {
-		run(in) // warm-up (also builds each instance's cached axis)
-	}
-	run(big)
-	for _, in := range []*Instance{small, tiny, big} {
-		in := in
-		if allocs := testing.AllocsPerRun(3, func() { run(in) }); allocs != 0 {
-			t.Fatalf("n=%d after warm-up on larger instance: %v allocs per run; want 0", in.N(), allocs)
+		for _, in := range []*Instance{big, small, tiny} {
+			run(in) // warm-up (also builds each instance's cached axis)
+		}
+		run(big)
+		for _, in := range []*Instance{small, tiny, big} {
+			if allocs := testing.AllocsPerRun(3, func() { run(in) }); allocs != 0 {
+				t.Fatalf("indexed=%v n=%d after warm-up on larger instance: %v allocs per run; want 0", indexed, in.N(), allocs)
+			}
 		}
 	}
 }

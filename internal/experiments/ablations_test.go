@@ -37,7 +37,7 @@ func TestA1LengthOrderCompetitive(t *testing.T) {
 
 func TestA2VariantsAgree(t *testing.T) {
 	// A2 errors internally if the variants ever disagree on cost.
-	if _, err := A2TreeIndex(Config{Trials: 2, Seed: 1}); err != nil {
+	if _, err := A2CapacityOracle(Config{Trials: 2, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
