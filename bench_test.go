@@ -19,6 +19,7 @@ import (
 	"busytime/internal/experiments"
 	"busytime/internal/generator"
 	"busytime/internal/online"
+	"busytime/internal/scenario"
 )
 
 // benchCfg keeps per-iteration work bounded; the experiment structure
@@ -288,7 +289,10 @@ func BenchmarkBatchPortfolio(b *testing.B) {
 // with the host core count — the scaling gate is only meaningful when
 // GOMAXPROCS exceeds the intra budget.
 func benchDecompClustered(b *testing.B, workers, intra int) {
-	in := generator.Clustered(7, 16, 6250, 4, 5000, 40)
+	benchDecomp(b, generator.Clustered(7, 16, 6250, 4, 5000, 40), workers, intra)
+}
+
+func benchDecomp(b *testing.B, in *core.Instance, workers, intra int) {
 	opts := []busytime.Option{busytime.WithWorkers(workers)}
 	if intra != 1 {
 		opts = append(opts, busytime.WithIntraWorkers(intra))
@@ -298,8 +302,21 @@ func benchDecompClustered(b *testing.B, workers, intra int) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := s.Solve(ctx, in); err != nil { // warm the arenas
-		b.Fatal(err)
+	// Warm the arenas until a Solve allocates nothing. Components go to
+	// workers in a different split on every decomposed Solve, so each
+	// worker's capture buffers keep growing for a few solves until they have
+	// held their largest share; the cap bounds the warm-up if they never
+	// settle.
+	var before, after runtime.MemStats
+	for i := 0; i < 16; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := s.Solve(ctx, in); err != nil {
+			b.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if after.Mallocs == before.Mallocs {
+			break
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -317,6 +334,36 @@ func benchDecompClustered(b *testing.B, workers, intra int) {
 func BenchmarkDecompClustered100kSeq(b *testing.B)    { benchDecompClustered(b, 1, 1) }
 func BenchmarkDecompClustered100kIntra2(b *testing.B) { benchDecompClustered(b, 2, 2) }
 func BenchmarkDecompClustered100kIntra4(b *testing.B) { benchDecompClustered(b, 4, 4) }
+
+// The many-small-components regime: scenario "clustered" at n = 1e5 is ~8.7k
+// time-disjoint components of ~12 jobs each (the offline-clustered workload
+// of perfbench). Every component is solved on a recycled arena sized for the
+// whole instance, so this ladder exposes the per-component arena reset that
+// the 16-cluster ladder above amortizes away: a reset that scaled with the
+// instance instead of the component made the decomposed Solve slower than
+// the sequential one here.
+func manyComponentsInstance(tb testing.TB) *core.Instance {
+	tb.Helper()
+	sc, ok := scenario.Lookup("clustered")
+	if !ok {
+		tb.Fatal("scenario clustered not registered")
+	}
+	p := sc.Defaults
+	p.N = 100_000
+	in, err := sc.Instance(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return in
+}
+
+func BenchmarkDecompManyComponents100kSeq(b *testing.B) {
+	benchDecomp(b, manyComponentsInstance(b), 1, 1)
+}
+
+func BenchmarkDecompManyComponents100kIntra2(b *testing.B) {
+	benchDecomp(b, manyComponentsInstance(b), 2, 2)
+}
 
 // The sweep alone: component labeling over the cached start order, the O(n)
 // prefix of every decomposed run. The warm-up call before ResetTimer sizes

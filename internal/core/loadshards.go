@@ -100,7 +100,9 @@ type loadShards struct {
 }
 
 // init sizes the shard directory from the instance axis — shard count and
-// width are fixed per instance, so the insert path never redistributes. It
+// width are fixed per instance, so the insert path never redistributes. The
+// retained directory is clean up to capacity (the scratch's undo pass
+// erases the heads the last schedule set), so sizing never clears. It
 // reports whether the directory's backing array had to grow.
 func (ls *loadShards) init(ia *instanceAxis) (grew bool) {
 	n := ia.nshards
@@ -109,7 +111,6 @@ func (ls *loadShards) init(ia *instanceAxis) (grew bool) {
 		return true
 	}
 	ls.heads = ls.heads[:n]
-	clear(ls.heads)
 	return false
 }
 

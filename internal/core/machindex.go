@@ -77,7 +77,9 @@ const (
 const unopenedPeak = math.MaxInt32
 
 // reset reconfigures the index for an instance axis, retaining allocations
-// where shapes allow, and drops all machines.
+// where shapes allow, and drops all machines. The retained bitmap is clean up
+// to capacity (the scratch's undo pass erases the rows the last schedule
+// marked, see clearRows), so reshaping it never clears.
 func (ix *machindex) reset(ia *instanceAxis) {
 	ix.nm = 0
 	ix.words = 1
@@ -87,7 +89,6 @@ func (ix *machindex) reset(ia *instanceAxis) {
 		ix.mask = make([]uint64, need)
 	} else {
 		ix.mask = ix.mask[:need]
-		clear(ix.mask)
 	}
 	if cap(ix.blocked) < ix.words {
 		ix.allocs++
@@ -95,36 +96,28 @@ func (ix *machindex) reset(ia *instanceAxis) {
 	} else {
 		ix.blocked = ix.blocked[:ix.words]
 	}
-	ix.clearTree(1)
+	ix.clearTree()
 }
 
-// clearTree (re)shapes the segment tree for at least want leaves — keeping
-// the larger of want and the current size, so a recycled index does not
-// re-grow machine by machine — and resets every slot to unopened.
-func (ix *machindex) clearTree(want int) {
-	size := 1
-	for size < want {
-		size <<= 1
-	}
-	if size < ix.size {
-		size = ix.size
-	}
-	if 2*size > cap(ix.minEnd) {
+// clearTree shapes the segment tree for a single unopened leaf. addMachine
+// regrows it in place as machines open (growTree), so the tree never costs
+// more than the machines the schedule actually opens.
+func (ix *machindex) clearTree() {
+	if cap(ix.minEnd) < 2 {
 		ix.allocs++
-		ix.minEnd = make([]float64, 2*size)
-		ix.maxStart = make([]float64, 2*size)
-		ix.minPeak = make([]int32, 2*size)
-	} else {
-		ix.minEnd = ix.minEnd[:2*size]
-		ix.maxStart = ix.maxStart[:2*size]
-		ix.minPeak = ix.minPeak[:2*size]
+		ix.minEnd = make([]float64, 2)
+		ix.maxStart = make([]float64, 2)
+		ix.minPeak = make([]int32, 2)
 	}
+	ix.minEnd = ix.minEnd[:2]
+	ix.maxStart = ix.maxStart[:2]
+	ix.minPeak = ix.minPeak[:2]
 	for i := range ix.minEnd {
 		ix.minEnd[i] = math.Inf(1)
 		ix.maxStart[i] = math.Inf(-1)
 		ix.minPeak[i] = unopenedPeak
 	}
-	ix.size = size
+	ix.size = 1
 }
 
 // growTree doubles the tree to hold at least want leaves, preserving the nm
@@ -293,6 +286,18 @@ func (ix *machindex) markBucket(m, b int) {
 		return
 	}
 	ix.mask[b*ix.words+m/64] |= 1 << (m % 64)
+}
+
+// clearRows zeroes bitmap word w — the bits of machines 64w..64w+63 — in
+// the rows of buckets [lo, hi]: the undo of every markBucket(m, b) with m/64
+// == w and b in that range. Words past the bitmap prefix hold no bits.
+func (ix *machindex) clearRows(w, lo, hi int) {
+	if w < 0 || w >= ix.words {
+		return
+	}
+	for b := lo; b <= hi; b++ {
+		ix.mask[b*ix.words+w] = 0
+	}
 }
 
 // blockedMask ORs the saturation rows of the buckets [lo, hi] (a window's

@@ -113,9 +113,9 @@ type machineState struct {
 const ceilUnknown = 255
 
 // recycle clears the state for a fresh machine, retaining every backing
-// allocation. The load profile is dropped, not cleared: OpenMachine re-sizes
-// it only when the schedule's index needs one, and always re-sizes the
-// shard directory.
+// allocation. The load profile is dropped: OpenMachine re-shapes it only
+// when the schedule's index needs one, and always re-shapes the shard
+// directory; both backing arrays are already clean (see Scratch.undo).
 func (st *machineState) recycle() {
 	st.jobs = st.jobs[:0]
 	st.hull = interval.Interval{}
@@ -189,9 +189,11 @@ func (s *Schedule) OpenMachine() int {
 	return m
 }
 
-// sizeProfile (re)initializes the bucketed load profile for nb buckets,
-// retaining allocations; nb == 0 disables the profile. It reports whether
-// the backing array had to grow.
+// sizeProfile shapes the bucketed load profile for nb buckets, retaining
+// allocations; nb == 0 disables the profile. The retained slab is clean up
+// to capacity (the scratch's undo pass erases what the last schedule wrote),
+// so reshaping never clears. It reports whether the backing array had to
+// grow.
 func (st *machineState) sizeProfile(nb int) (grew bool) {
 	if nb == 0 {
 		st.floor, st.ceil = nil, nil
@@ -202,7 +204,6 @@ func (st *machineState) sizeProfile(nb int) (grew bool) {
 		grew = true
 	} else {
 		st.prof = st.prof[:2*nb]
-		clear(st.prof)
 	}
 	st.floor = st.prof[:nb:nb]
 	st.ceil = st.prof[nb:]
@@ -211,12 +212,16 @@ func (st *machineState) sizeProfile(nb int) (grew bool) {
 
 // EnableMachineIndex attaches the machine-selection index that powers
 // FirstFitAssign: the segment tree, the saturation bitmap and the bucketed
-// load profiles. Call it once, right after creating the schedule; machines
-// opened before the call are indexed retroactively. Schedules drawn from a
-// Scratch recycle the index arena across instances.
+// load profiles. Call it right after creating the schedule, before any
+// machine is opened; it panics on a schedule that already has machines.
+// Calling it again is a no-op. Schedules drawn from a Scratch recycle the
+// index arena across instances.
 func (s *Schedule) EnableMachineIndex() {
 	if s.index != nil {
 		return
+	}
+	if len(s.machines) > 0 {
+		panic("core: EnableMachineIndex on a schedule that already has machines")
 	}
 	if s.scratch != nil {
 		s.index = &s.scratch.index
@@ -224,19 +229,6 @@ func (s *Schedule) EnableMachineIndex() {
 		s.index = new(machindex)
 	}
 	s.index.reset(s.ia)
-	for m := range s.machines {
-		st := &s.machines[m]
-		s.index.addMachine()
-		st.sizeProfile(s.index.profileBuckets(m))
-		if len(st.jobs) > 0 {
-			s.index.update(m, st.hull, st.peak)
-			// The profile was not maintained while these jobs arrived:
-			// floors of 0 stay sound, ceilings must be marked unknown.
-			for b := range st.ceil {
-				st.ceil[b] = ceilUnknown
-			}
-		}
-	}
 }
 
 // jobBuckets returns the axis bucket overlap range of job j's window, or an
@@ -563,10 +555,11 @@ func (s *Schedule) AppendMachineSpans(m int, dst interval.Set) interval.Set {
 }
 
 // insert performs the bookkeeping of placing job index j on machine state st
-// (machine index m): the job's shard copies, assignment map, and the hint
-// update. used must be at least the machine's maximum load within the job's
-// window before insertion (exact keeps peak exact; an upper bound keeps it
-// sound). lo/hi is the job's axis bucket range (empty on a degenerate axis).
+// (machine index m): the hull and job list, the job's shard copies, the hint
+// update, and the assignment map. used must be at least the machine's
+// maximum load within the job's window before insertion (exact keeps peak
+// exact; an upper bound keeps it sound). lo/hi is the job's axis bucket
+// range (empty on a degenerate axis).
 func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 	if s.sealed {
 		panic("core: placement on a sealed schedule")
@@ -575,14 +568,17 @@ func (s *Schedule) insert(st *machineState, j, m, used, lo, hi int) {
 		panic(fmt.Sprintf("core: job index %d already assigned to machine %d", j, s.assign[j]))
 	}
 	job := s.inst.Jobs[j]
-	slo, shi := s.ia.shardRange(lo, hi)
-	st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
+	// The hull and the job list advance before the first arena write: the
+	// scratch's undo pass locates every write from them, so a placement cut
+	// short by a recovered panic leaves nothing outside the hull's range.
 	if len(st.jobs) == 0 {
 		st.hull = job.Iv
 	} else {
 		st.hull = st.hull.Hull(job.Iv)
 	}
 	st.jobs = append(st.jobs, j)
+	slo, shi := s.ia.shardRange(lo, hi)
+	st.shards.add(s.pool, job.Iv, job.Demand, slo, shi)
 	if used+job.Demand > st.peak {
 		st.peak = used + job.Demand
 	}

@@ -6,9 +6,16 @@ package core
 // shard directory), the machine-selection index (segment tree and
 // saturation bitmap), and the chunked shard pool every machine's
 // time-sharded job lists draw from. A worker that schedules a stream of
-// instances through one Scratch stops allocating once warm: every reset is a
-// truncation or a clear of retained backing arrays, sized on first use from
-// the instance's compressed time axis.
+// instances through one Scratch stops allocating once warm.
+//
+// Reset discipline: the retained backing arrays are kept clean up to their
+// capacity — assignment slots read Unassigned, shard directories, load
+// profiles and bitmap rows read zero — so setting up a schedule is a
+// truncation, never a clear. NewSchedule restores the invariant with one
+// undo pass over the previous schedule that erases only what it wrote
+// (see undo), so a reset costs what the last schedule touched, not what the
+// instance holds: a 12-job component of a 100k-job instance resets in time
+// proportional to its 12 jobs.
 //
 // Contract: NewSchedule reclaims everything handed out by the previous
 // NewSchedule call on the same Scratch, so at most one schedule per Scratch
@@ -73,16 +80,17 @@ func NewScheduleFrom(inst *Instance, sc *Scratch) *Schedule {
 // previous call.
 func (sc *Scratch) NewSchedule(inst *Instance) *Schedule {
 	s := &sc.sched
+	sc.undo()
 	machines := s.machines[:0]
 	n := inst.N()
 	if cap(sc.assign) < n {
 		sc.allocs++
 		sc.assign = make([]int, n)
+		for i := range sc.assign {
+			sc.assign[i] = Unassigned
+		}
 	}
 	assign := sc.assign[:n]
-	for i := range assign {
-		assign[i] = Unassigned
-	}
 	sc.pool.reset()
 	*s = Schedule{inst: inst, assign: assign, machines: machines, scratch: sc, cursor: Unassigned, ia: inst.timeAxis(), pool: &sc.pool}
 	if sc.armed {
@@ -91,6 +99,59 @@ func (sc *Scratch) NewSchedule(inst *Instance) *Schedule {
 	}
 	sc.schedules++
 	return s
+}
+
+// undo erases every write the live schedule made into the retained backing
+// arrays, restoring the clean-to-capacity invariant NewSchedule relies on.
+// Each write is located from state the schedule keeps anyway, so placements
+// pay nothing for it:
+//   - every assign[j] write goes with an append to the machine's job list;
+//   - every shard-head, profile and bitmap write of a machine falls inside
+//     the bucket range of the machine's busy hull on the schedule's own axis
+//     (s.ia, still attached): insert grows the hull before its first arena
+//     write, and a saturated run is covered by the machine's jobs.
+//
+// Machines without jobs wrote nothing. The pass covers sealed assemblies
+// too: their machines wrote no capacity structure, and a hull the assembly
+// left stale only makes the pass clear a few clean entries.
+func (sc *Scratch) undo() {
+	s := &sc.sched
+	ix := s.index
+	// The 64 machines of a bitmap word are consecutive, so the word is
+	// cleared once over the union of their hull ranges instead of once per
+	// machine: the bitmap costs at most its own size, not machines × rows.
+	word, wlo, whi := -1, 0, -1
+	for m := range s.machines {
+		st := &s.machines[m]
+		if len(st.jobs) == 0 {
+			continue
+		}
+		for _, j := range st.jobs {
+			s.assign[j] = Unassigned
+		}
+		lo, hi := s.ia.ax.OverlapRange(st.hull)
+		slo, shi := s.ia.shardRange(lo, hi)
+		clear(st.shards.heads[slo : shi+1])
+		if lo > hi {
+			continue
+		}
+		if len(st.floor) > 0 {
+			clear(st.floor[lo : hi+1])
+			clear(st.ceil[lo : hi+1])
+		}
+		if ix == nil {
+			continue
+		}
+		if w := m / 64; w != word {
+			ix.clearRows(word, wlo, whi)
+			word, wlo, whi = w, lo, hi
+		} else {
+			wlo, whi = min(wlo, lo), max(whi, hi)
+		}
+	}
+	if ix != nil {
+		ix.clearRows(word, wlo, whi)
+	}
 }
 
 // ArmSpanLog arms a one-shot span-delta log: the next schedule drawn from

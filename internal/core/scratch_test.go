@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"busytime/internal/interval"
@@ -257,4 +260,165 @@ func TestScratchInvalidatesPreviousSchedule(t *testing.T) {
 	if got := old.NumMachines(); got != 0 {
 		t.Errorf("reclaimed schedule still reports %d machines; want 0 (state stripped)", got)
 	}
+}
+
+// requireArenaClean asserts the invariant every NewSchedule establishes: the
+// scratch's retained backing arrays are clean up to capacity — assignment
+// slots Unassigned, and the saturation bitmap, every machine record's
+// profile slab and every shard directory zero.
+func requireArenaClean(t *testing.T, sc *Scratch, step string) {
+	t.Helper()
+	for j, m := range sc.assign[:cap(sc.assign)] {
+		if m != Unassigned {
+			t.Fatalf("%s: assign[%d] = %d after NewSchedule; want Unassigned", step, j, m)
+		}
+	}
+	for i, w := range sc.index.mask[:cap(sc.index.mask)] {
+		if w != 0 {
+			t.Fatalf("%s: bitmap word %d = %#x after NewSchedule; want 0", step, i, w)
+		}
+	}
+	for m, st := range sc.sched.machines[:cap(sc.sched.machines)] {
+		// Profile slabs dominate the arena; count zeros with the vectorized
+		// byte count and locate the offender only on failure.
+		if p := st.prof[:cap(st.prof)]; bytes.Count(p, []byte{0}) != len(p) {
+			b := slices.IndexFunc(p, func(v uint8) bool { return v != 0 })
+			t.Fatalf("%s: machine record %d profile byte %d = %d after NewSchedule; want 0", step, m, b, p[b])
+		}
+		for k, h := range st.shards.heads[:cap(st.shards.heads)] {
+			if h != 0 {
+				t.Fatalf("%s: machine record %d shard head %d = %d after NewSchedule; want 0", step, m, k, h)
+			}
+		}
+	}
+}
+
+// requireSameSchedule asserts a recycled schedule equals a fresh one bitwise:
+// the same machines with the same job lists, and the same Cost bits.
+func requireSameSchedule(t *testing.T, got, want *Schedule, step string) {
+	t.Helper()
+	if got.NumMachines() != want.NumMachines() {
+		t.Fatalf("%s: recycled schedule has %d machines, fresh %d", step, got.NumMachines(), want.NumMachines())
+	}
+	for m := 0; m < got.NumMachines(); m++ {
+		if !slices.Equal(got.MachineJobs(m), want.MachineJobs(m)) {
+			t.Fatalf("%s: machine %d jobs %v recycled, %v fresh", step, m, got.MachineJobs(m), want.MachineJobs(m))
+		}
+	}
+	if math.Float64bits(got.Cost()) != math.Float64bits(want.Cost()) {
+		t.Fatalf("%s: recycled cost %v, fresh %v", step, got.Cost(), want.Cost())
+	}
+}
+
+// TestScratchUndoKeepsArenaClean pushes one Scratch through every kind of
+// schedule it serves and checks, after each NewSchedule, that the undo pass
+// left the arena clean up to capacity, and that each recycled run equals a
+// fresh one bitwise. The sequence: a parent instance using more than 128
+// profiled and more than 64 bitmap machines; thousands of tiny
+// component-style runs on that parent; an instance whose axis is decimated
+// past maxTimeBuckets; a point-only instance (degenerate axis); a sealed
+// Assembly; a no-index schedule; and the parent again.
+func TestScratchUndoKeepsArenaClean(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	parent := denseTestInstance(5000, 3, 500, 60)
+	for i := range parent.Jobs {
+		parent.Jobs[i].Demand = 1 + r.Intn(3)
+	}
+	sc := new(Scratch)
+	// run places order on a schedule drawn from sc and on a fresh one and
+	// compares them; the arena must be clean right after NewSchedule.
+	run := func(step string, in *Instance, indexed bool, order []int32, place func(Placer, int)) *Schedule {
+		s := sc.NewSchedule(in)
+		requireArenaClean(t, sc, step)
+		fresh := NewSchedule(in)
+		for _, x := range []*Schedule{s, fresh} {
+			if indexed {
+				x.EnableMachineIndex()
+			}
+			k := x.Placer()
+			for _, j := range order {
+				place(k, int(j))
+			}
+		}
+		requireSameSchedule(t, s, fresh, step)
+		return s
+	}
+	lowest := func(k Placer, j int) { k.LowestFit(j) }
+	best := func(k Placer, j int) { k.BestFit(j) }
+
+	s := run("parent", parent, true, parent.LengthOrder(), lowest)
+	if s.NumMachines() <= maxProfileMachines || sc.index.words < 2 {
+		t.Fatalf("parent run opened %d machines over %d bitmap words; want > %d machines and > 64 in the bitmap",
+			s.NumMachines(), sc.index.words, maxProfileMachines)
+	}
+	if !slices.ContainsFunc(sc.index.mask, func(w uint64) bool { return w != 0 }) {
+		t.Fatal("parent run marked no saturated bucket; the bitmap leg is vacuous")
+	}
+	run("parent bestfit", parent, true, parent.LengthOrder(), best)
+
+	starts := parent.StartOrder()
+	for i := 0; i < 2000; i++ {
+		lo := r.Intn(len(starts))
+		hi := min(len(starts), lo+1+r.Intn(16))
+		place := lowest
+		if i%2 == 1 {
+			place = best
+		}
+		run("tiny component", parent, true, starts[lo:hi], place)
+	}
+
+	wide := denseTestInstance(40000, 4, 20000, 30)
+	// 80000 distinct endpoints exceed maxTimeBuckets, so the axis is
+	// decimated to every other endpoint.
+	if ia := wide.timeAxis(); ia.nb > maxTimeBuckets || ia.nb >= 2*wide.N()-1 {
+		t.Fatalf("wide instance axis has %d buckets; want it decimated below %d", ia.nb, maxTimeBuckets)
+	}
+	run("decimated axis", wide, true, wide.StartOrder(), lowest)
+
+	points := make([]interval.Interval, 12)
+	for i := range points {
+		points[i] = interval.New(5, 5)
+	}
+	point := NewInstance(2, points...)
+	if point.timeAxis().nb != 0 {
+		t.Fatal("point-only instance has a non-degenerate axis")
+	}
+	run("point-only", point, true, point.StartOrder(), lowest)
+	run("parent after point-only", parent, true, parent.LengthOrder(), lowest)
+
+	// A sealed assembly replaying a fresh run's machines; odd machines go
+	// through PutPlaced, which leaves the busy hull stale.
+	ref := firstFitAll(parent, true)
+	assemble := func(a Assembly) *Schedule {
+		for m := 0; m < ref.NumMachines(); m++ {
+			for _, j := range ref.MachineJobs(m) {
+				if m%2 == 0 {
+					a.Put(j, m)
+				} else {
+					a.PutPlaced(j, m)
+				}
+			}
+		}
+		return a.Finish()
+	}
+	asm := assemble(BeginAssembly(parent, sc, ref.NumMachines()))
+	requireSameSchedule(t, asm, assemble(BeginAssembly(parent, nil, ref.NumMachines())), "assembly")
+
+	run("no index", parent, false, parent.LengthOrder(), lowest)
+	run("parent again", parent, true, parent.LengthOrder(), lowest)
+	sc.NewSchedule(point)
+	requireArenaClean(t, sc, "final")
+}
+
+// TestEnableMachineIndexRequiresEmptySchedule pins that the index can only be
+// attached before the first machine opens: there is no retroactive indexing.
+func TestEnableMachineIndexRequiresEmptySchedule(t *testing.T) {
+	s := NewSchedule(NewInstance(2, interval.New(0, 1)))
+	s.AssignNew(0)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("EnableMachineIndex on a schedule with machines did not panic")
+		}
+	}()
+	s.EnableMachineIndex()
 }

@@ -107,3 +107,51 @@ func TestMulticoreShardSpeedup(t *testing.T) {
 		t.Fatalf("4-shard speedup %.2fx (seq=%v sharded=%v); want ≥ 1.8x on 4 cores", speedup, tseq, tshard)
 	}
 }
+
+// TestMulticoreManyComponents is the arena-reset gate of the decomposition
+// layer: on the ~8.7k-component clustered workload (scenario "clustered",
+// n = 1e5, ~12 jobs per component) the decomposed Solve must not be slower
+// than the sequential one. Each component is solved on a recycled arena sized
+// for the whole instance, so a reset that cost what the instance holds rather
+// than what the previous component touched made the decomposed Solve ~2×
+// slower than sequential here.
+func TestMulticoreManyComponents(t *testing.T) {
+	requireMulticoreGate(t)
+	in := manyComponentsInstance(t)
+	seq, err := busytime.New(busytime.WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := busytime.New(busytime.WithWorkers(4), busytime.WithIntraWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	measure := func(s *busytime.Solver, wantDecomposed bool) time.Duration {
+		if _, err := s.Solve(ctx, in); err != nil { // warm
+			t.Fatal(err)
+		}
+		best := time.Duration(0)
+		for i := 0; i < 3; i++ {
+			t0 := time.Now()
+			res, err := s.Solve(ctx, in)
+			el := time.Since(t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantDecomposed && !res.Decomp.Decomposed() {
+				t.Fatalf("decomposition declined: %+v", res.Decomp)
+			}
+			if best == 0 || el < best {
+				best = el
+			}
+		}
+		return best
+	}
+	tseq := measure(seq, false)
+	tdec := measure(dec, true)
+	t.Logf("sequential %v, decomposed %v (%.2fx)", tseq, tdec, float64(tseq)/float64(tdec))
+	if tdec > tseq {
+		t.Fatalf("decomposed Solve %v slower than sequential %v on the many-components workload", tdec, tseq)
+	}
+}
