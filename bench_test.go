@@ -204,6 +204,32 @@ func benchBestFitPooledN(b *testing.B, n int) {
 func BenchmarkBestFitPooledN1e4(b *testing.B) { benchBestFitPooledN(b, 10000) }
 func BenchmarkBestFitPooledN1e5(b *testing.B) { benchBestFitPooledN(b, 100000) }
 
+// BestFit on the paper's optical application (scenario "lightpath", §4.2,
+// the offline-lightpath workload of perfbench) through a warm arena: a
+// 62-bucket axis and ~1.7k machines, all inside the saturation bitmap and
+// the load profiles, with the argmin probing every machine per job.
+func BenchmarkBestFitLightpath1e4(b *testing.B) {
+	lp, ok := scenario.Lookup("lightpath")
+	if !ok {
+		b.Fatal("scenario lightpath not registered")
+	}
+	p := lp.Defaults
+	p.N = 10_000
+	in, err := lp.Instance(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := new(core.Scratch)
+	baselines.BestFitScratch(in, sc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s := baselines.BestFitScratch(in, sc); s.NumMachines() == 0 {
+			b.Fatal("empty schedule")
+		}
+	}
+}
+
 // Batch-engine benchmarks (DESIGN.md §5): the same batch of seeded 100k-job
 // instances scheduled through internal/engine versus a naive sequential
 // loop. The engine run should beat the loop by roughly the core count; the

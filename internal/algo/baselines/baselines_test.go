@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -10,6 +11,7 @@ import (
 	"busytime/internal/core"
 	"busytime/internal/generator"
 	"busytime/internal/interval"
+	"busytime/internal/optical"
 )
 
 func iv(s, e float64) interval.Interval { return interval.New(s, e) }
@@ -71,10 +73,21 @@ func assertIdentical(t *testing.T, label string, a, b *core.Schedule) {
 	}
 }
 
+// lightpathInstance is the instance of scenario "lightpath" at its default
+// parameters (64-node path, g = 4) with n lightpaths: the §4.2 reduction,
+// whose axis has one bucket per link. The scenario package cannot be
+// imported here (it depends on this one), so the traffic is built the way
+// the scenario builds it.
+func lightpathInstance(seed int64, n int) *core.Instance {
+	return optical.RandomTraffic(seed, 64, n, 63, 4).ToInstance()
+}
+
 // TestBestFitKernelMatchesScan is the differential contract of the kernel
 // BestFit: across every generator family and a seed sweep, the pruned
 // indexed argmin must produce byte-identical schedules to the naive
-// per-machine probe loop it replaced.
+// per-machine probe loop it replaced. The lightpath leg opens more than 512
+// machines on a 62-bucket axis, where the bitmap and the profiles cover
+// every machine the argmin probes.
 func TestBestFitKernelMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		for fi, in := range diffFamilies(seed) {
@@ -85,6 +98,19 @@ func TestBestFitKernelMatchesScan(t *testing.T) {
 			scan := BestFitScan(in)
 			assertIdentical(t, fmt.Sprintf("seed=%d family=%d", seed, fi), kernel, scan)
 		}
+	}
+	in := lightpathInstance(12345, 5000)
+	kernel := BestFit(in)
+	if kernel.NumMachines() <= 512 {
+		t.Fatalf("lightpath leg opened only %d machines; want more than 512", kernel.NumMachines())
+	}
+	if err := kernel.Verify(); err != nil {
+		t.Fatalf("lightpath: kernel BestFit infeasible: %v", err)
+	}
+	scan := BestFitScan(in)
+	assertIdentical(t, "lightpath", kernel, scan)
+	if math.Float64bits(kernel.Cost()) != math.Float64bits(scan.Cost()) {
+		t.Fatalf("lightpath: cost bits %x vs %x", math.Float64bits(kernel.Cost()), math.Float64bits(scan.Cost()))
 	}
 }
 
@@ -108,19 +134,29 @@ func TestBestFitScratchMatchesFresh(t *testing.T) {
 // TestBestFitZeroAllocSteadyState is the BestFit arena acceptance gate:
 // after one warm-up pass, re-scheduling an instance through a recycled
 // Scratch — NewSchedule, EnableMachineIndex, and every kernel BestFit
-// placement — performs zero allocations.
+// placement — performs zero allocations. The lightpath leg covers the short
+// axis, where the bitmap widens and profiles are sized past 512 machines.
 func TestBestFitZeroAllocSteadyState(t *testing.T) {
-	in := generator.General(3, 3000, 4, 1500, 25)
-	sc := new(core.Scratch)
-	run := func() {
-		s := BestFitScratch(in, sc)
-		if s.NumMachines() == 0 {
-			t.Fatal("empty schedule")
+	for _, leg := range []struct {
+		name        string
+		in          *core.Instance
+		runs        int
+		minMachines int
+	}{
+		{"general", generator.General(3, 3000, 4, 1500, 25), 5, 1},
+		{"lightpath", lightpathInstance(7, 4000), 2, 513},
+	} {
+		sc := new(core.Scratch)
+		run := func() {
+			s := BestFitScratch(leg.in, sc)
+			if s.NumMachines() < leg.minMachines {
+				t.Fatalf("%s: %d machines; want at least %d", leg.name, s.NumMachines(), leg.minMachines)
+			}
 		}
-	}
-	run() // warm-up sizes the arena and the instance's cached length order
-	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
-		t.Fatalf("warm BestFit allocated %v times per run; want 0", allocs)
+		run() // warm-up sizes the arena and the instance's cached length order
+		if allocs := testing.AllocsPerRun(leg.runs, run); allocs != 0 {
+			t.Fatalf("%s: warm BestFit allocated %v times per run; want 0", leg.name, allocs)
+		}
 	}
 }
 

@@ -42,6 +42,9 @@ type machindex struct {
 	words   int      // uint64 words per bucket (machines / 64, rounded up)
 	mask    []uint64 // nb × words, bucket-major
 	blocked []uint64 // scratch for the per-probe blocked-machine mask
+	// bitmapCap and profileCap are the machine prefixes the bitmap and the
+	// load profiles cover, fixed per axis by reset.
+	bitmapCap, profileCap int
 
 	// Segment tree over machine slots; standard 1-based array layout with
 	// leaves at [size, 2·size). Unopened slots never qualify.
@@ -65,13 +68,21 @@ const maxQueryBuckets = 1024
 // cover only a prefix of the machine range: machines beyond the caps are
 // still indexed by the segment tree (O(1) per machine) and probed through
 // hints and shards — they just can't be skipped by the bitmap or settled by
-// a profile, which only costs time, never correctness. FirstFit concentrates
-// its probes on low machine indices, so the prefix is where the structures
-// pay off. With the maximum 2¹⁶ buckets this bounds the bitmap at 4 MiB and
-// the profiles at 16 MiB per schedule.
+// a profile, which only costs time, never correctness. The caps come from a
+// memory budget over the axis, not from a machine count (see reset): the
+// bitmap holds at most bitmapBudget bits (2 MiB) and the profiles at most
+// profileBudget (machine, bucket) pairs of two bytes (8 MiB), but never
+// fewer than 512 bitmap and 128 profiled machines. On axes of 2¹⁵ buckets
+// or more the floors are the caps (at the maximum 2¹⁶ buckets, 4 MiB of
+// bitmap and 16 MiB of profiles); a shorter axis covers more machines. That
+// is what BestFit needs: its argmin probes every machine, not a low-index
+// prefix, and on a lightpath axis (62 buckets) every machine it opens fits
+// inside both structures.
 const (
-	maxBitmapMachines  = 512
-	maxProfileMachines = 128
+	bitmapBudget       = 1 << 24
+	profileBudget      = 1 << 22
+	minBitmapMachines  = 512
+	minProfileMachines = 128
 )
 
 const unopenedPeak = math.MaxInt32
@@ -84,6 +95,11 @@ func (ix *machindex) reset(ia *instanceAxis) {
 	ix.nm = 0
 	ix.words = 1
 	ix.nb = ia.nb
+	ix.bitmapCap, ix.profileCap = minBitmapMachines, minProfileMachines
+	if ix.nb > 0 {
+		ix.bitmapCap = max(minBitmapMachines, bitmapBudget/ix.nb/64*64)
+		ix.profileCap = max(minProfileMachines, profileBudget/ix.nb)
+	}
 	if need := ix.nb * ix.words; cap(ix.mask) < need {
 		ix.allocs++
 		ix.mask = make([]uint64, need)
@@ -177,7 +193,7 @@ func (ix *machindex) addMachine() {
 	}
 	ix.nm++
 	ix.setLeaf(m, math.Inf(-1), math.Inf(1), 0)
-	if ix.nm > 64*ix.words && ix.nm <= maxBitmapMachines {
+	if ix.nm > 64*ix.words && ix.nm <= ix.bitmapCap {
 		ix.growWords()
 	}
 }
@@ -273,7 +289,7 @@ func (ix *machindex) growWords() {
 // profileBuckets returns the bucketed-profile size for machine m: the full
 // axis grid inside the profile prefix, zero (no profile) beyond it.
 func (ix *machindex) profileBuckets(m int) int {
-	if m >= maxProfileMachines {
+	if m >= ix.profileCap {
 		return 0
 	}
 	return ix.nb

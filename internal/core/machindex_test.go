@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"busytime/internal/interval"
@@ -326,13 +327,45 @@ func TestLoadShardsMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestIndexManyMachinesPastPrefixCaps drives FirstFitAssign on a clique
-// instance that opens far more machines than the bitmap (512) and profile
-// (128) prefixes cover, checking the indexed scan still matches the plain
-// scan machine for machine.
+// TestMachindexCapsFollowAxisBudget pins the prefix geometry: axes of 2¹⁵
+// buckets or more keep the 512-machine bitmap and 128-machine profile
+// floors, and a shorter axis widens each prefix only within its memory
+// budget (2²⁴ bitmap bits, 2²³ profile bytes).
+func TestMachindexCapsFollowAxisBudget(t *testing.T) {
+	for _, c := range []struct{ nb, bitmap, profile int }{
+		{0, 512, 128},
+		{1, 1 << 24, 1 << 22},
+		{62, 270592, 67650},
+		{3000, 5568, 1398},
+		{1<<15 - 1, 512, 128},
+		{1 << 15, 512, 128},
+		{49813, 512, 128},
+		{1 << 16, 512, 128},
+	} {
+		ix := new(machindex)
+		ix.reset(&instanceAxis{nb: c.nb})
+		if ix.bitmapCap != c.bitmap || ix.profileCap != c.profile {
+			t.Fatalf("nb=%d: caps %d bitmap / %d profiled machines; want %d / %d",
+				c.nb, ix.bitmapCap, ix.profileCap, c.bitmap, c.profile)
+		}
+		if ix.bitmapCap%64 != 0 {
+			t.Fatalf("nb=%d: bitmap cap %d is not a whole number of words", c.nb, ix.bitmapCap)
+		}
+		if ix.bitmapCap > minBitmapMachines && ix.bitmapCap*c.nb > 1<<24 {
+			t.Fatalf("nb=%d: bitmap of %d machines holds %d bits; budget 2^24", c.nb, ix.bitmapCap, ix.bitmapCap*c.nb)
+		}
+		if ix.profileCap > minProfileMachines && 2*ix.profileCap*c.nb > 1<<23 {
+			t.Fatalf("nb=%d: profiles of %d machines hold %d bytes; budget 2^23", c.nb, ix.profileCap, 2*ix.profileCap*c.nb)
+		}
+	}
+}
+
+// TestIndexManyMachinesPastPrefixCaps opens more than 512 machines on two
+// axes and checks indexed FirstFit and BestFit against the plain scans
+// machine for machine: a short axis whose prefixes cover every machine, so
+// the bitmap and the profiles work past the 512/128 floors, and a long axis
+// (≥ 2¹⁵ buckets) whose machines run past both prefixes.
 func TestIndexManyMachinesPastPrefixCaps(t *testing.T) {
-	// 1500 unit jobs through a common point with g=2 → 750 machines.
-	ivs := make([]interval.Interval, 1500)
 	state := uint64(8)
 	next := func() float64 {
 		state += 0x9e3779b97f4a7c15
@@ -341,33 +374,99 @@ func TestIndexManyMachinesPastPrefixCaps(t *testing.T) {
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		return float64((z^(z>>31))>>11) / (1 << 53)
 	}
-	for i := range ivs {
-		a, b := next()*5, next()*5
-		ivs[i] = interval.New(10-a, 10+b)
+	// clique returns 1500 jobs through the common point 10 — with g=2, 750
+	// machines. Integer endpoints keep the axis to a handful of buckets.
+	clique := func(integer bool) []interval.Interval {
+		ivs := make([]interval.Interval, 1500)
+		for i := range ivs {
+			a, b := 1+next()*5, 1+next()*5
+			if integer {
+				a, b = math.Floor(a), math.Floor(b)
+			}
+			ivs[i] = interval.New(10-a, 10+b)
+		}
+		return ivs
 	}
-	in := NewInstance(2, ivs...)
-	indexed := NewSchedule(in)
-	indexed.EnableMachineIndex()
-	plain := NewSchedule(in)
-	for j := range in.Jobs {
-		indexed.FirstFitAssign(j)
-		plain.FirstFitAssign(j)
+	// The long axis gets 17000 short disjoint jobs ahead of the clique:
+	// their endpoints push the axis past 2¹⁵ buckets, and they all land on
+	// machine 0.
+	var long []interval.Interval
+	for i := 0; i < 17000; i++ {
+		long = append(long, interval.New(100+float64(i), 100.5+float64(i)))
 	}
-	if indexed.NumMachines() <= maxBitmapMachines {
-		t.Fatalf("instance opened only %d machines; prefix caps untested", indexed.NumMachines())
+	long = append(long, clique(false)...)
+	legs := []struct {
+		name string
+		in   *Instance
+		past bool // machines run past both prefixes
+	}{
+		{"short axis", NewInstance(2, clique(true)...), false},
+		{"long axis", NewInstance(2, long...), true},
 	}
-	if indexed.NumMachines() != plain.NumMachines() {
-		t.Fatalf("indexed %d machines, plain %d", indexed.NumMachines(), plain.NumMachines())
-	}
-	for j := range in.Jobs {
-		if indexed.MachineOf(j) != plain.MachineOf(j) {
-			t.Fatalf("job %d: indexed machine %d, plain %d", j, indexed.MachineOf(j), plain.MachineOf(j))
+	for _, leg := range legs {
+		in := leg.in
+		for _, best := range []bool{false, true} {
+			label := leg.name + " firstfit"
+			if best {
+				label = leg.name + " bestfit"
+			}
+			indexed := NewSchedule(in)
+			indexed.EnableMachineIndex()
+			plain := NewSchedule(in)
+			for j := range in.Jobs {
+				if best {
+					indexed.Placer().BestFit(j)
+					naiveBestFit(plain, j)
+				} else {
+					indexed.FirstFitAssign(j)
+					plain.FirstFitAssign(j)
+				}
+			}
+			ix, nm := indexed.index, indexed.NumMachines()
+			if nm <= minBitmapMachines {
+				t.Fatalf("%s: opened only %d machines; the bitmap floor is untested", label, nm)
+			}
+			if leg.past {
+				if ix.nb < 1<<15 || nm <= ix.bitmapCap || len(indexed.machines[nm-1].floor) != 0 {
+					t.Fatalf("%s: %d buckets, %d machines, bitmap cap %d; want the last machine past both prefixes",
+						label, ix.nb, nm, ix.bitmapCap)
+				}
+			} else {
+				if nm > ix.bitmapCap || nm > ix.profileCap || len(indexed.machines[nm-1].floor) == 0 {
+					t.Fatalf("%s: %d buckets, %d machines, caps %d/%d; want every machine in both prefixes",
+						label, ix.nb, nm, ix.bitmapCap, ix.profileCap)
+				}
+				if !bitsPast(ix, minBitmapMachines) {
+					t.Fatalf("%s: no bitmap bit set for a machine past %d; the widened prefix is vacuous", label, minBitmapMachines)
+				}
+			}
+			if nm != plain.NumMachines() {
+				t.Fatalf("%s: indexed %d machines, plain %d", label, nm, plain.NumMachines())
+			}
+			for j := range in.Jobs {
+				if indexed.MachineOf(j) != plain.MachineOf(j) {
+					t.Fatalf("%s: job %d: indexed machine %d, plain %d", label, j, indexed.MachineOf(j), plain.MachineOf(j))
+				}
+			}
+			if math.Float64bits(indexed.Cost()) != math.Float64bits(plain.Cost()) {
+				t.Fatalf("%s: cost %v vs %v", label, indexed.Cost(), plain.Cost())
+			}
+			if err := indexed.Verify(); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 		}
 	}
-	if indexed.Cost() != plain.Cost() {
-		t.Fatalf("cost %v vs %v", indexed.Cost(), plain.Cost())
+}
+
+// bitsPast reports whether the bitmap holds a bit for some machine ≥ m.
+func bitsPast(ix *machindex, m int) bool {
+	for b := 0; b < ix.nb; b++ {
+		row := ix.mask[b*ix.words : (b+1)*ix.words]
+		for w := m / 64; w < len(row); w++ {
+			if row[w]>>(uint(max(m-64*w, 0))) != 0 {
+				return true
+			}
+		}
 	}
-	if err := indexed.Verify(); err != nil {
-		t.Fatal(err)
-	}
+	return false
 }

@@ -98,15 +98,17 @@ func (p Placer) NextFit(j int) int {
 // returns the machine. The scan is pruned by two sound observations on top
 // of the capacity hints:
 //
-//   - a machine whose busy hull is disjoint from the job's window (or that
-//     is empty) grows by the full job length, the maximum possible delta, so
-//     once any candidate is held such machines can never win the argmin
-//     (ties go to the earlier candidate);
+//   - the busy-time delta is computed before the capacity probe, and a
+//     machine whose delta is not strictly below the held candidate's can
+//     never win the argmin (ties go to the earlier candidate), so it is
+//     skipped unprobed — this covers every machine whose busy hull is
+//     disjoint from the job's window, which grows by the full job length;
 //   - a machine with a fully saturated axis bucket inside the job's window
 //     provably rejects, so the index's saturation bitmap skips whole words
 //     of such machines without probing them.
 //
-// Both prunings only skip machines the naive scan would also discard, so the
+// Both prunings only skip machines the naive scan would also discard — it
+// compares the same Spans.Delta values with the same strict "<" — so the
 // produced schedule is byte-identical to probing every machine in order.
 func (p Placer) BestFit(j int) int {
 	m := p.BestFitProbe(j)
@@ -144,20 +146,14 @@ func (p Placer) BestFitProbe(j int) int {
 			if m >= nm {
 				break
 			}
-			st := &s.machines[m]
-			if bestM >= 0 && bestDelta <= job.Iv.Len() &&
-				(len(st.jobs) == 0 || !job.Iv.Overlaps(st.hull)) {
-				// A disjoint (or empty) machine's delta is exactly the job
-				// length; it cannot beat the held candidate. The bestDelta
-				// guard keeps the skip sound even if floating point ever
-				// reported a candidate delta above the length.
+			// The delta is the cheap half of the argmin: a machine that
+			// cannot strictly lower the held delta never wins (ties go to
+			// the earlier candidate), so only the rest pay a capacity probe.
+			delta := s.machines[m].spans.Delta(job.Iv)
+			if bestM >= 0 && delta >= bestDelta {
 				continue
 			}
-			if !s.CanAssign(j, m) {
-				continue
-			}
-			delta := st.spans.Delta(job.Iv)
-			if bestM < 0 || delta < bestDelta {
+			if s.CanAssign(j, m) {
 				bestM, bestDelta = m, delta
 			}
 		}

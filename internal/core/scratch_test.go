@@ -313,14 +313,14 @@ func requireSameSchedule(t *testing.T, got, want *Schedule, step string) {
 // TestScratchUndoKeepsArenaClean pushes one Scratch through every kind of
 // schedule it serves and checks, after each NewSchedule, that the undo pass
 // left the arena clean up to capacity, and that each recycled run equals a
-// fresh one bitwise. The sequence: a parent instance using more than 128
-// profiled and more than 64 bitmap machines; thousands of tiny
+// fresh one bitwise. The sequence: a parent instance opening machines past
+// its profile prefix and more than 512 bitmap machines; thousands of tiny
 // component-style runs on that parent; an instance whose axis is decimated
 // past maxTimeBuckets; a point-only instance (degenerate axis); a sealed
 // Assembly; a no-index schedule; and the parent again.
 func TestScratchUndoKeepsArenaClean(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
-	parent := denseTestInstance(5000, 3, 500, 60)
+	parent := denseTestInstance(5000, 3, 200, 60)
 	for i := range parent.Jobs {
 		parent.Jobs[i].Demand = 1 + r.Intn(3)
 	}
@@ -347,9 +347,9 @@ func TestScratchUndoKeepsArenaClean(t *testing.T) {
 	best := func(k Placer, j int) { k.BestFit(j) }
 
 	s := run("parent", parent, true, parent.LengthOrder(), lowest)
-	if s.NumMachines() <= maxProfileMachines || sc.index.words < 2 {
-		t.Fatalf("parent run opened %d machines over %d bitmap words; want > %d machines and > 64 in the bitmap",
-			s.NumMachines(), sc.index.words, maxProfileMachines)
+	if s.NumMachines() <= sc.index.profileCap || 64*sc.index.words <= minBitmapMachines {
+		t.Fatalf("parent run opened %d machines over %d bitmap words; want > %d machines and > %d in the bitmap",
+			s.NumMachines(), sc.index.words, sc.index.profileCap, minBitmapMachines)
 	}
 	if !slices.ContainsFunc(sc.index.mask, func(w uint64) bool { return w != 0 }) {
 		t.Fatal("parent run marked no saturated bucket; the bitmap leg is vacuous")
